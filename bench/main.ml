@@ -22,9 +22,10 @@ let usage () =
   print_endline
     "  --oversubscribe   include domain counts beyond the host's cores";
   print_endline
-    "  --gate            1-domain perf gates: bytecode <= 1.05x closure \
-     ns/iter, -O2 geomean >= 1.15x -O0, and the profiler-off repeat-run \
-     noise canary (exit 1 on failure)"
+    "  --gate            perf gates: bytecode <= 1.05x closure ns/iter, \
+     -O2 geomean >= 1.15x -O0, the profiler-off repeat-run noise canary \
+     (1 domain), and static-block first-chunk latency <= 3x GSS on \
+     transpose (2 domains); exit 1 on failure"
 
 let run_id ~oversubscribe ~gate id =
   match List.assoc_opt id Experiments.all with

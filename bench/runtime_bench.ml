@@ -535,6 +535,37 @@ let geomean = function
         (List.fold_left (fun a x -> a +. log x) 0.0 l
         /. float_of_int (List.length l))
 
+(* ---------- 2-domain fork latency: static block vs GSS ----------
+
+   Gate 4 guards the static dispatchers' per-fork cost. Each round runs
+   transpose (two fork regions) traced at 2 domains under static-block
+   and then GSS on one pool, and takes the ratio of their summed
+   first-chunk latencies (fork begin to the earliest chunk start). Both
+   policies publish the same job through the same pool, so the ratio
+   isolates what the dispatcher does before its first chunk; a static
+   dispatcher that scans the iteration space on every fork reads about
+   100x GSS's. The headline is the median of per-round ratios, immune
+   to clock drift like [seq_ratios]. *)
+let fork_latency_rounds = 21
+
+let fork_latency_ratio () =
+  let compiled = compile_validated (Kernels.transpose ~n:200) in
+  Pool.with_pool 2 (fun pool ->
+      let latency policy =
+        let tracer = Trace.create ~p:2 () in
+        ignore (Exec.run_compiled ~pool ~policy ~trace:tracer compiled);
+        let m = Metrics.of_trace (Trace.snapshot tracer) in
+        List.fold_left
+          (fun acc (f : Metrics.fork_metrics) -> acc + f.Metrics.fork_latency_ns)
+          0 m.Metrics.forks
+        |> max 1 |> float_of_int
+      in
+      ignore (latency Policy.Static_block, latency Policy.Gss);
+      median
+        (List.init fork_latency_rounds (fun _ ->
+             let b = latency Policy.Static_block in
+             b /. latency Policy.Gss)))
+
 (* ---------- searched recipe vs default pipeline ----------
 
    For each kernel, run the model-guided transformation search (budget
@@ -1074,6 +1105,21 @@ let run ?(oversubscribe = false) ?(gate = false) () =
          (List.map
             (fun r -> Printf.sprintf "%s=%.2fx" r.sr_kernel r.sr_ratio)
             search_wins));
+    (* Gate 4: 2-domain static-block first-chunk latency within 3x of
+       GSS on transpose (median of per-round ratios). *)
+    let fork_thresh = 3.0 *. gate_factor in
+    let fork_ratio = fork_latency_ratio () in
+    if not (fork_ratio <= fork_thresh) then begin
+      Printf.printf
+        "fork-latency gate FAILED: transpose static-block/GSS first-chunk \
+         latency median ratio %.2fx > %.2fx (2 domains)\n%!"
+        fork_ratio fork_thresh;
+      exit 1
+    end;
+    Printf.printf
+      "fork-latency gate: OK (transpose static-block/GSS first-chunk \
+       latency %.2fx <= %.2fx, 2 domains)\n%!"
+      fork_ratio fork_thresh;
     let prof_band = 1.05 *. gate_factor in
     let prof_missing =
       List.filter_map

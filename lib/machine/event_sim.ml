@@ -32,20 +32,20 @@ let simulate_static machine (assignment : Sched.Static.t) ~chunk_cost =
   let trace = ref [] in
   let dispatches = ref 0 in
   for q = 0 to p - 1 do
-    let runs = Sched.Static.chunks_of assignment q in
-    if runs <> [] then begin
-      incr dispatches;
-      times.(q) <- machine.Machine.dispatch_cost;
-      List.iter
-        (fun (start, len) ->
-          let cost = chunk_cost ~start ~len in
-          busy.(q) <- busy.(q) +. cost;
-          times.(q) <- times.(q) +. cost;
-          trace :=
-            { proc = q; start; len; issue_time = times.(q) -. cost; cost }
-            :: !trace)
-        runs
-    end
+    let dispatched = ref false in
+    Sched.Static.iter_chunks assignment q (fun start len ->
+        (* One dispatch for the processor's whole share. *)
+        if not !dispatched then begin
+          dispatched := true;
+          incr dispatches;
+          times.(q) <- machine.Machine.dispatch_cost
+        end;
+        let cost = chunk_cost ~start ~len in
+        busy.(q) <- busy.(q) +. cost;
+        times.(q) <- times.(q) +. cost;
+        trace :=
+          { proc = q; start; len; issue_time = times.(q) -. cost; cost }
+          :: !trace)
   done;
   finish machine busy !trace !dispatches times
 

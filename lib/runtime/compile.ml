@@ -64,6 +64,8 @@ and plan = {
   step_x : env -> int;  (** outermost step; inner levels are unit-step *)
   body : env -> unit;  (** one iteration; index slots already set *)
   reductions : red array;
+  stamps : stamp array;
+      (** live-out scalars the body may leave unwritten in an iteration *)
   tape : Bytecode.tape option;
       (** the body lowered to the bytecode tier, when expressible; the
           executor's bytecode engine dispatches strips over it and falls
@@ -78,6 +80,15 @@ and red = {
   r_slot : int;
   r_real : bool;  (** slot lives in [reals] (else [ints]) *)
   r_op : Reduction.op;
+}
+
+and stamp = {
+  st_name : string;
+  st_slot : int;
+  st_real : bool;  (** slot lives in [reals] (else [ints]) *)
+  st_at : int array;
+      (** int slots holding the nest indexes of the last write, outer
+          first; [st_at.(0) = min_int] means "not written" *)
 }
 
 type iexp = env -> int
@@ -395,6 +406,43 @@ let rec assigned_scalars (b : Ast.block) =
       | For l -> assigned_scalars l.body)
     b
 
+(* Scalars assigned on every path through a block. Loops may run zero
+   times, so nothing assigned inside one counts. *)
+let rec definitely_assigned (b : Ast.block) =
+  List.concat_map
+    (fun (s : Ast.stmt) ->
+      match s with
+      | Assign (Scalar v, _) -> [ v ]
+      | Assign (Elem _, _) | For _ -> []
+      | If (_, t, f) ->
+          let dt = definitely_assigned t in
+          List.filter (fun v -> List.mem v dt) (definitely_assigned f))
+    b
+
+(* Last-writer stamps. A scalar the plan body may leave unwritten in an
+   iteration cannot be copied back from "the domain that ran the highest
+   iteration" after a parallel fork: that iteration may not have written
+   it. Instead every assignment to such a scalar is followed by copies
+   of the nest indexes into the scalar's private stamp slots, and the
+   executor adopts the scalar from the clone with the lexicographically
+   highest stamp — the latest writer in sequential order. The rewrite
+   is on the AST, so the closure body, the tape (sanitized or not) and
+   the native code built from it all carry the stamps. Stamp and index
+   aliases use names no source identifier can take. *)
+let stamp_body (stamped : (string * Ast.stmt list) list) (b : Ast.block) =
+  let rec block b = List.concat_map stmt b
+  and stmt (s : Ast.stmt) =
+    match s with
+    | Assign (Scalar v, _) -> (
+        match List.assoc_opt v stamped with
+        | Some marks -> s :: marks
+        | None -> [ s ])
+    | Assign (Elem _, _) -> [ s ]
+    | If (c, t, f) -> [ Ast.If (c, block t, block f) ]
+    | For l -> [ Ast.For { l with body = block l.body } ]
+  in
+  block b
+
 let rec compile_stmt ctx ~in_par (s : Ast.stmt) : code =
   match s with
   | Assign (Scalar v, e) -> (
@@ -493,7 +541,6 @@ and compile_parallel_nest ctx (l : Ast.loop) : code =
         slot)
       index_names
   in
-  let body = compile_block ctx ~in_par:true inner_body in
   (* Recognized scalar reductions in the flattened body get per-domain
      partial results and an ordered merge in the executor. *)
   let reductions =
@@ -521,6 +568,53 @@ and compile_parallel_nest ctx (l : Ast.loop) : code =
              | None -> None)
     |> Array.of_list
   in
+  let definite = definitely_assigned inner_body in
+  let aliases =
+    List.init depth (fun k -> (Printf.sprintf "%%index.%d" k, index_slots.(k)))
+  in
+  let stamps =
+    List.sort_uniq String.compare (assigned_scalars inner_body)
+    |> List.filter_map (fun v ->
+           if
+             List.mem v definite
+             || Array.exists (fun r -> String.equal r.r_name v) reductions
+           then None
+           else
+             match Hashtbl.find_opt ctx.sc_tbl v with
+             | None -> None
+             | Some sl ->
+                 let st_slot, st_real =
+                   match sl with Si s -> (s, false) | Sr s -> (s, true)
+                 in
+                 Some
+                   {
+                     st_name = v;
+                     st_slot;
+                     st_real;
+                     st_at = Array.init depth (fun _ -> fresh_int ctx);
+                   })
+    |> Array.of_list
+  in
+  let stamp_names st =
+    List.init depth (fun k -> Printf.sprintf "%%stamp.%s.%d" st.st_name k)
+  in
+  let bindings =
+    aliases
+    @ List.concat_map
+        (fun st -> List.combine (stamp_names st) (Array.to_list st.st_at))
+        (Array.to_list stamps)
+  in
+  List.iter (fun (name, s) -> Hashtbl.add ctx.sc_tbl name (Si s)) bindings;
+  let marks =
+    Array.to_list stamps
+    |> List.map (fun st ->
+           ( st.st_name,
+             List.map2
+               (fun name (alias, _) -> Ast.Assign (Scalar name, Var alias))
+               (stamp_names st) aliases ))
+  in
+  let inner_body = stamp_body marks inner_body in
+  let body = compile_block ctx ~in_par:true inner_body in
   (* Lower the same body to the bytecode tier while the nest indexes are
      still in scope. Names resolve exactly as the closure compile did;
      temporaries come from the same slot counters, so [make_env] sizes
@@ -615,6 +709,7 @@ and compile_parallel_nest ctx (l : Ast.loop) : code =
         t
   in
   ctx.scope <- saved;
+  List.iter (fun (name, _) -> Hashtbl.remove ctx.sc_tbl name) bindings;
   let plan =
     {
       depth;
@@ -625,6 +720,7 @@ and compile_parallel_nest ctx (l : Ast.loop) : code =
       step_x;
       body;
       reductions;
+      stamps;
       tape;
       native = None;
     }

@@ -43,6 +43,11 @@ and plan = {
   step_x : env -> int;
   body : env -> unit;
   reductions : red array;
+  stamps : stamp array;
+      (** the scalars the body assigns on some paths but not all (and
+          that are not reductions), with their last-writer stamp slots;
+          the executor copies each back from the clone that wrote it
+          last *)
   tape : Bytecode.tape option;
       (** the body lowered to the bytecode tier ({!Bytecode.lower}), or
           [None] when it contains a construct the tape cannot express —
@@ -59,6 +64,18 @@ and red = {
   r_slot : int;
   r_real : bool;
   r_op : Loopcoal_analysis.Reduction.op;
+}
+
+and stamp = {
+  st_name : string;
+  st_slot : int;
+  st_real : bool;  (** slot lives in [reals] (else [ints]) *)
+  st_at : int array;
+      (** int slots receiving the nest indexes (outer first) after every
+          assignment to the scalar; the iteration of the last write in
+          sequential order is the lexicographically highest. The executor
+          sets [st_at.(0)] to [min_int] ("not written") in each clone
+          before a fork. *)
 }
 
 type t

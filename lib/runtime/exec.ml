@@ -6,8 +6,9 @@
    policies, reusing the chunk formulas of [lib/sched] as live
    dispatchers:
 
-   - [Static_block] / [Static_cyclic]: ownership from [Static.block] /
-     [Static.cyclic], no synchronization at all after the fork;
+   - [Static_block] / [Static_cyclic]: ownership in closed form from
+     [Static.iter_chunks] (one block, or a stride-p progression), no
+     scan over the space and no synchronization after the fork;
    - [Self_sched c]: one [Atomic.fetch_and_add] on the coalesced index
      per dispatch — the paper's "single synchronized access to the shared
      loop index" claim, executed for real;
@@ -22,9 +23,12 @@
    (arrays are shared; DOALL iterations write disjoint elements by
    assumption of the [Parallel] annotation). After the join, recognized
    reductions are merged in domain order from their identity-initialized
-   partials, and the remaining scalars are adopted from the domain that
-   executed the highest coalesced iteration, matching the sequential
-   last-iteration semantics for privatizable scalars. *)
+   partials; scalars the body assigns on only some paths are adopted
+   from their last writer by the clones' last-writer stamps
+   ([Compile.stamp]); the remaining scalars, written in every iteration,
+   are adopted from the domain that executed the highest coalesced
+   iteration. Both rules give the sequential last-write value whatever
+   the schedule. *)
 
 module Policy = Loopcoal_sched.Policy
 module Static = Loopcoal_sched.Static
@@ -350,24 +354,39 @@ let merge_reductions (plan : plan) master clones =
       end)
     plan.reductions
 
-(* ---------- parallel execution ---------- *)
+(* Scalars the body may leave unwritten come from their last writer:
+   the clone whose stamp (the nest indexes of its last assignment) is
+   lexicographically highest. A clone that never wrote one holds the
+   pre-fork value, as does [master] after the wholesale adoption when
+   no clone wrote it. *)
+let adopt_stamped (plan : plan) master clones =
+  Array.iter
+    (fun st ->
+      let later a b =
+        let rec go k =
+          k < Array.length st.st_at
+          &&
+          let x = a.ints.(st.st_at.(k)) and y = b.ints.(st.st_at.(k)) in
+          x > y || (x = y && go (k + 1))
+        in
+        go 0
+      in
+      let best = ref None in
+      Array.iter
+        (fun c ->
+          if c.ints.(st.st_at.(0)) <> min_int then
+            match !best with
+            | Some b when not (later c b) -> ()
+            | _ -> best := Some c)
+        clones;
+      match !best with
+      | None -> ()
+      | Some c ->
+          if st.st_real then master.reals.(st.st_slot) <- c.reals.(st.st_slot)
+          else master.ints.(st.st_slot) <- c.ints.(st.st_slot))
+    plan.stamps
 
-(* Per-domain dispatch loop for one policy over [1..n]. [run] receives
-   (t0, len) chunks; must be called with ascending t0 within a domain. *)
-let dispatch policy ~n ~p ~(q : int) ~run =
-  match (policy : Policy.t) with
-  | Static_block ->
-      (* Contiguous blocks, identical to Static.block ownership. *)
-      let sched = Static.block ~n ~p in
-      List.iter (fun (t0, len) -> run t0 len) (Static.chunks_of sched q)
-  | Static_cyclic ->
-      let t = ref (q + 1) in
-      while !t <= n do
-        run !t 1;
-        t := !t + p
-      done
-  | Self_sched _ | Gss | Factoring | Trapezoid ->
-      assert false (* dynamic policies are dispatched from shared state *)
+(* ---------- parallel execution ---------- *)
 
 let parallel_fork_e engine ?trace ?profile pool policy (plan : plan) master =
   let p = Pool.size pool in
@@ -391,6 +410,7 @@ let parallel_fork_e engine ?trace ?profile pool policy (plan : plan) master =
           let c = clone_env master in
           c.fork <- seq_fork_e engine ?profile;
           reset_partials plan c;
+          Array.iter (fun st -> c.ints.(st.st_at.(0)) <- min_int) plan.stamps;
           c)
     in
     let runners =
@@ -417,7 +437,10 @@ let parallel_fork_e engine ?trace ?profile pool policy (plan : plan) master =
     let worker : int -> unit =
       match (policy : Policy.t) with
       | Static_block | Static_cyclic ->
-          fun q -> dispatch policy ~n ~p ~q ~run:(run_on q)
+          (* Closed-form ownership: a block is one run, cyclic a stride-p
+             progression of singletons; no shared state. *)
+          let sched = Option.get (Static.of_policy policy ~n ~p) in
+          fun q -> Static.iter_chunks sched q (run_on q)
       | Self_sched c ->
           (* The paper's self-scheduling: a single shared coalesced index,
              advanced with one atomic fetch-and-add per dispatch. *)
@@ -472,6 +495,7 @@ let parallel_fork_e engine ?trace ?profile pool policy (plan : plan) master =
       Array.blit clones.(!qlast).reals 0 master.reals 0
         (Array.length master.reals)
     end;
+    adopt_stamped plan master clones;
     Array.iteri
       (fun k (r : red) ->
         if r.r_real then master.reals.(r.r_slot) <- saved_reals.(k)
@@ -552,9 +576,9 @@ let run_sanitized ?array_init ?pool ?policy ?domains ?engine ?limit ?opt_level
   (outcome, sh)
 
 (* Differential check against the reference interpreter: arrays must be
-   exactly equal; scalar comparison is optional because non-reduction
-   scalars assigned inside a parallel loop follow privatization (not
-   interleaving) semantics. *)
+   exactly equal; scalar comparison is optional because FP reduction
+   partials merged in domain order round differently from the
+   sequential sum. *)
 let agrees_with_interpreter ?(compare_scalars = false) (outcome : outcome)
     (st : Eval.state) =
   let arrays, scalars = Eval.dump st in

@@ -12,8 +12,12 @@
     Arrays are shared between domains (DOALL iterations write disjoint
     elements by assumption of the [Parallel] annotation); scalars are
     per-domain private. After the join, recognized reductions are merged
-    in domain order and remaining scalars are adopted from the domain
-    that executed the highest coalesced iteration. *)
+    in domain order; scalars the body assigns on only some paths are
+    adopted from the clone with the highest last-writer stamp
+    ({!Compile.stamp}); the remaining scalars are adopted from the
+    domain that executed the highest coalesced iteration. Non-reduction
+    scalars therefore end with their sequential values under every
+    policy and domain count. *)
 
 open Loopcoal_ir
 
@@ -128,5 +132,6 @@ val agrees_with_interpreter :
   ?compare_scalars:bool -> outcome -> Eval.state -> bool
 (** Differential check against the reference interpreter: arrays must be
     element-wise identical. [compare_scalars] (default false) also
-    requires exact scalar agreement — meaningful for sequential runs and
-    for programs whose parallel-loop scalars are recognized reductions. *)
+    requires exact scalar agreement — meaningful at every domain count
+    unless a parallel loop has an FP reduction whose merge order changes
+    its rounding. *)

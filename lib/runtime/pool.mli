@@ -3,8 +3,16 @@
     A pool of size [p] owns [p - 1] spawned worker domains; the caller of
     {!run} participates as worker [0], so a parallel region occupies
     exactly [p] domains. Workers persist across {!run} calls, which keeps
-    the per-region cost to one broadcast + one join — the single
-    fork-join the paper's coalesced loops are scheduled with. *)
+    the per-region cost to one fork-join — the one the paper's coalesced
+    loops are scheduled with.
+
+    Both sides of the barrier spin, then park. An idle worker polls for
+    the next job for a few tens of microseconds before it sleeps on a
+    condition variable, and the caller polls the join counter the same
+    way. A fork that finds its workers still spinning costs two atomic
+    updates and no system call; the mutex and condition variables are
+    touched only when a side has parked. The spin length is fixed, not a
+    parameter. *)
 
 type t
 

@@ -1,21 +1,26 @@
-type t = { n : int; p : int; proc_of : int -> int }
+type kind = Block | Cyclic
+type t = { n : int; p : int; kind : kind; proc_of : int -> int }
 
 let check ~n ~p =
   if n < 0 then invalid_arg "Static: n must be >= 0";
   if p < 1 then invalid_arg "Static: p must be >= 1"
 
-(* Balanced blocks: processors 0..r-1 own q+1 iterations, the rest q,
-   where n = q*p + r. *)
+(* Balanced blocks: with n = b*p + r, processor q owns the b + [q < r]
+   iterations starting at q*b + min q r + 1. *)
+let block_of ~n ~p q =
+  let b = n / p and r = n mod p in
+  ((q * b) + min q r + 1, b + if q < r then 1 else 0)
+
 let block ~n ~p =
   check ~n ~p;
-  let q = n / p and r = n mod p in
+  let b = n / p and r = n mod p in
   let proc_of j =
     if j < 1 || j > n then invalid_arg "Static.proc_of: out of range";
     let j0 = j - 1 in
-    let big = r * (q + 1) in
-    if j0 < big then j0 / (q + 1) else r + ((j0 - big) / max q 1)
+    let big = r * (b + 1) in
+    if j0 < big then j0 / (b + 1) else r + ((j0 - big) / max b 1)
   in
-  { n; p; proc_of }
+  { n; p; kind = Block; proc_of }
 
 let cyclic ~n ~p =
   check ~n ~p;
@@ -23,7 +28,7 @@ let cyclic ~n ~p =
     if j < 1 || j > n then invalid_arg "Static.proc_of: out of range";
     (j - 1) mod p
   in
-  { n; p; proc_of }
+  { n; p; kind = Cyclic; proc_of }
 
 let of_policy policy ~n ~p =
   match (policy : Policy.t) with
@@ -31,38 +36,37 @@ let of_policy policy ~n ~p =
   | Static_cyclic -> Some (cyclic ~n ~p)
   | Self_sched _ | Gss | Factoring | Trapezoid -> None
 
-let iterations_of t q =
-  let acc = ref [] in
-  for j = t.n downto 1 do
-    if t.proc_of j = q then acc := j :: !acc
-  done;
-  !acc
-
-let counts t =
-  let c = Array.make t.p 0 in
-  for j = 1 to t.n do
-    let q = t.proc_of j in
-    c.(q) <- c.(q) + 1
-  done;
-  c
+(* The one closed-form enumeration every consumer goes through: a block
+   is a single run; cyclic ownership is a stride-p progression, whose
+   maximal runs are singletons unless p = 1. *)
+let iter_chunks t q f =
+  match t.kind with
+  | Block ->
+      let start, len = block_of ~n:t.n ~p:t.p q in
+      if len > 0 then f start len
+  | Cyclic ->
+      if t.p = 1 then (if q = 0 && t.n > 0 then f 1 t.n)
+      else begin
+        let j = ref (q + 1) in
+        while !j <= t.n do
+          f !j 1;
+          j := !j + t.p
+        done
+      end
 
 let chunks_of t q =
-  let runs = ref [] and start = ref 0 and len = ref 0 in
-  let flush () =
-    if !len > 0 then runs := (!start, !len) :: !runs;
-    len := 0
-  in
-  for j = 1 to t.n do
-    if t.proc_of j = q then
-      if !len > 0 && !start + !len = j then incr len
-      else begin
-        flush ();
-        start := j;
-        len := 1
-      end
-  done;
-  flush ();
+  let runs = ref [] in
+  iter_chunks t q (fun start len -> runs := (start, len) :: !runs);
   List.rev !runs
+
+let iterations_of t q =
+  List.concat_map (fun (start, len) -> List.init len (( + ) start)) (chunks_of t q)
+
+let counts t =
+  Array.init t.p (fun q ->
+      match t.kind with
+      | Block -> snd (block_of ~n:t.n ~p:t.p q)
+      | Cyclic -> if q < t.n then ((t.n - q - 1) / t.p) + 1 else 0)
 
 let is_partition t =
   let ok = ref true in

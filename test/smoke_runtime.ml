@@ -13,7 +13,7 @@ let () =
   let outcome =
     Runtime.Exec.run ~domains:2 ~policy:Policy.Gss prog
   in
-  if Runtime.Exec.agrees_with_interpreter outcome st then
+  if Runtime.Exec.agrees_with_interpreter ~compare_scalars:true outcome st then
     print_endline "runtime smoke ok: matmul, 2 domains, GSS"
   else begin
     prerr_endline "runtime smoke FAILED: parallel result differs from interpreter";

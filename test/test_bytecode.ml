@@ -46,7 +46,8 @@ let check_all_engines ~what prog =
           List.iter
             (fun (cname, engine, opt_level) ->
               let outcome = Exec.run ~domains ~policy ~engine ~opt_level prog in
-              if not (Exec.agrees_with_interpreter outcome st) then
+              if not (Exec.agrees_with_interpreter ~compare_scalars:true outcome st)
+              then
                 Alcotest.failf "%s: %s engine (%d domains, %s) differs" what
                   cname domains (Policy.name policy))
             configs)
@@ -302,7 +303,7 @@ let test_sanitizer_on_bytecode () =
         Exec.run_sanitized ~domains ~engine:Exec.Bytecode sanitizable
       in
       Alcotest.(check bool) "race-free program agrees" true
-        (Exec.agrees_with_interpreter outcome st);
+        (Exec.agrees_with_interpreter ~compare_scalars:true outcome st);
       Alcotest.(check int) "race-free program is clean" 0
         (snd (Sanitize.results sh)))
     domain_counts;
@@ -343,7 +344,7 @@ let differential ?(require_tapes = false) arb ~name ~count =
             (fun domains ->
               List.for_all
                 (fun (_, engine, opt_level) ->
-                  Exec.agrees_with_interpreter
+                  Exec.agrees_with_interpreter ~compare_scalars:true
                     (Exec.run ~domains ~policy ~engine ~opt_level prog)
                     st)
                 configs)
@@ -353,7 +354,7 @@ let differential ?(require_tapes = false) arb ~name ~count =
       let outcome, sh =
         Exec.run_sanitized ~domains:2 ~engine:Exec.Bytecode prog
       in
-      Exec.agrees_with_interpreter outcome st
+      Exec.agrees_with_interpreter ~compare_scalars:true outcome st
       && snd (Sanitize.results sh) = 0)
 
 let prop_doall_nests_agree =
@@ -574,7 +575,7 @@ let test_unrolled_strips_identical () =
           in
           let o0, t0 = run 0 in
           let o2, t2 = run 2 in
-          if not (Exec.agrees_with_interpreter o0 st) then
+          if not (Exec.agrees_with_interpreter ~compare_scalars:true o0 st) then
             Alcotest.failf
               "%s trips=%d domains=%d: -O0 differs from interpreter" what trips
               domains;

@@ -59,7 +59,8 @@ let check_five_way ?(domain_counts = [ 1; 2; 4 ]) ~what prog =
             List.map
               (fun (cname, engine, opt_level) ->
                 let o = Exec.run ~domains ~policy ~engine ~opt_level prog in
-                if not (Exec.agrees_with_interpreter o st) then
+                if not (Exec.agrees_with_interpreter ~compare_scalars:true o st)
+                then
                   Alcotest.failf "%s: %s (%d domains, %s) differs from interp"
                     what cname domains (Policy.name policy);
                 (cname, opt_level, o))
@@ -137,7 +138,7 @@ let native_differential gen ~name =
             (fun domains ->
               let on = Exec.run ~domains ~engine:Exec.Native prog in
               let ob = Exec.run ~domains ~engine:Exec.Bytecode prog in
-              Exec.agrees_with_interpreter on st
+              Exec.agrees_with_interpreter ~compare_scalars:true on st
               && on.Exec.arrays = ob.Exec.arrays
               && on.Exec.scalars = ob.Exec.scalars)
             [ 1; 3 ])
@@ -149,6 +150,10 @@ let prop_serial_accum =
 let prop_branchy_varstep =
   native_differential Test_bytecode.branchy_varstep_gen
     ~name:"native = bytecode = interp (branchy variable-step nests)"
+
+let prop_cond_live_outs =
+  native_differential Test_runtime.cond_live_out_gen
+    ~name:"native = bytecode = interp (conditional live-out scalars)"
 
 (* ---------- trace and metrics shape: native vs bytecode ---------- *)
 
@@ -180,7 +185,7 @@ let test_trace_shape_identical () =
           in
           let ob, tb = run Exec.Bytecode in
           let on, tn = run Exec.Native in
-          if not (Exec.agrees_with_interpreter on st) then
+          if not (Exec.agrees_with_interpreter ~compare_scalars:true on st) then
             Alcotest.failf "trips=%d domains=%d: native differs from interp"
               trips domains;
           if on.Exec.arrays <> ob.Exec.arrays
@@ -264,7 +269,7 @@ let test_toolchain_missing_fallback () =
         (Compile.plans compiled);
       let st = Eval.run prog in
       let o = Exec.run_compiled ~domains:2 ~engine:Exec.Native compiled in
-      if not (Exec.agrees_with_interpreter o st) then
+      if not (Exec.agrees_with_interpreter ~compare_scalars:true o st) then
         Alcotest.fail "bytecode fallback differs from interpreter")
 
 (* ---------- artifact cache ---------- *)
@@ -294,7 +299,7 @@ let test_artifact_cache_hit () =
   | Natgen.Unavailable m -> Alcotest.failf "second prepare: %s" m);
   let st = Eval.run prog in
   let o = Exec.run_compiled ~engine:Exec.Native second in
-  if not (Exec.agrees_with_interpreter o st) then
+  if not (Exec.agrees_with_interpreter ~compare_scalars:true o st) then
     Alcotest.fail "runners from a cached artifact differ from interpreter"
 
 (* ---------- generated source shape ---------- *)
@@ -388,4 +393,5 @@ let suite =
   @ [
       Gen.to_alcotest prop_serial_accum;
       Gen.to_alcotest prop_branchy_varstep;
+      Gen.to_alcotest prop_cond_live_outs;
     ]

@@ -73,6 +73,32 @@ let test_partition_all_policies () =
         domain_counts)
     all_policies
 
+(* Static blocks are computed in closed form per worker; the measured
+   chunks must still tile the space, including when some workers own
+   nothing (n < p) and when n is not a multiple of p. *)
+let test_static_block_partition () =
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun n ->
+          let prog =
+            B.program
+              ~arrays:[ B.array "V" [ n ] ]
+              [
+                B.doall "i" (B.int 1) (B.int n)
+                  [ B.store "V" [ B.var "i" ] (B.var "i") ];
+              ]
+          in
+          let _, tr =
+            traced_run ~prog ~domains ~policy:Policy.Static_block ()
+          in
+          match Metrics.check_partition tr with
+          | Ok () -> ()
+          | Error m ->
+              Alcotest.failf "static block n=%d, %d domains: %s" n domains m)
+        [ 2; 3; 5; 7; 64; 101 ])
+    [ 2; 3; 4 ]
+
 let test_partition_detects_gap_and_overlap () =
   let fake chunks =
     let c = Trace.create ~p:2 () in
@@ -639,4 +665,6 @@ let suite =
     Alcotest.test_case "model check grading" `Quick test_model_check_grades;
     Gen.to_alcotest prop_chunks_sequence_tiles;
     Gen.to_alcotest prop_chunks_static_counts;
+    Alcotest.test_case "static-block chunks partition at 2/3/4 domains" `Quick
+      test_static_block_partition;
   ]

@@ -44,9 +44,11 @@ let test_kernels_all_policies () =
         (fun policy ->
           List.iter
             (fun domains ->
-              (* Sequential staging must reproduce the full store exactly;
-                 with domains > 1, arrays must still be bit-identical. *)
-              check_against_interp ~compare_scalars:(domains = 1)
+              (* The full store, scalars included, at every domain count:
+                 no kernel has a parallel FP reduction, and privatized
+                 live-outs (gauss_jordan's conditionally assigned [mult])
+                 come back from their last writer. *)
+              check_against_interp ~compare_scalars:true
                 ~what:("kernel " ^ name) prog ~domains ~policy)
             domain_counts)
         all_policies)
@@ -225,6 +227,93 @@ let test_pool_propagates_exception () =
       Pool.run pool (fun q -> if q = 0 then ok := true);
       Alcotest.(check bool) "usable after failure" true !ok)
 
+(* The pool's two waiting paths. Workers and the caller spin for a few
+   tens of microseconds and then park on a condition variable; these
+   tests drive each path without asserting on time. A sleep of 2 ms is
+   far longer than the spin bound, so every fork after one finds the
+   workers parked. *)
+let park_gap () = Unix.sleepf 0.002
+
+let test_pool_spin_path () =
+  Pool.with_pool 2 (fun pool ->
+      let hits = Array.make 2 0 in
+      for _ = 1 to 10_000 do
+        Pool.run pool (fun q -> hits.(q) <- hits.(q) + 1)
+      done;
+      Alcotest.(check (array int)) "10k back-to-back forks" [| 10_000; 10_000 |]
+        hits)
+
+let test_pool_park_path () =
+  Pool.with_pool 3 (fun pool ->
+      let hits = Array.make 3 0 in
+      for _ = 1 to 20 do
+        park_gap ();
+        Pool.run pool (fun q -> hits.(q) <- hits.(q) + 1)
+      done;
+      (* A slow worker makes the caller park in the join, too. *)
+      Pool.run pool (fun q ->
+          if q = 2 then park_gap ();
+          hits.(q) <- hits.(q) + 1);
+      Alcotest.(check (array int)) "forks after sleeps" [| 21; 21; 21 |] hits)
+
+let test_pool_lowest_exception_both_paths () =
+  let raise_from qs q = if List.mem q qs then failwith (string_of_int q) in
+  Pool.with_pool 4 (fun pool ->
+      List.iter
+        (fun (gap, qs, want) ->
+          if gap then park_gap ();
+          match Pool.run pool (raise_from qs) with
+          | () -> Alcotest.fail "expected an exception"
+          | exception Failure m -> Alcotest.(check string) "lowest id" want m)
+        [
+          (false, [ 3; 2 ], "2");
+          (true, [ 3; 2 ], "2");
+          (false, [ 1; 0; 3 ], "0");
+          (true, [ 3; 1 ], "1");
+        ];
+      let ok = ref 0 in
+      Pool.run pool (fun q -> if q = 0 then incr ok);
+      Alcotest.(check int) "usable after failures" 1 !ok)
+
+let test_pool_shutdown_paths () =
+  (* Shutdown right after a fork finds the workers spinning. *)
+  let spinning = Pool.create 3 in
+  Pool.run spinning ignore;
+  Pool.shutdown spinning;
+  (* Shutdown after a sleep finds them parked. *)
+  let parked = Pool.create 3 in
+  Pool.run parked ignore;
+  park_gap ();
+  Pool.shutdown parked;
+  (* And before any fork at all. *)
+  Pool.shutdown (Pool.create 2)
+
+let test_pool_gc_while_spinning () =
+  (* One side allocates enough to force minor collections while the
+     other has finished and spins (the worker on the next generation,
+     the caller on the join). A spinner that never reached a safepoint
+     would hang the stop-the-world minor GC. *)
+  let minors () = (Gc.quick_stat ()).Gc.minor_collections in
+  Pool.with_pool 2 (fun pool ->
+      List.iter
+        (fun allocator ->
+          let before = minors () in
+          for _ = 1 to 50 do
+            Pool.run pool (fun q ->
+                if q = allocator then begin
+                  (* At once, while the other side is still spinning. *)
+                  Gc.minor ();
+                  for _ = 1 to 20 do
+                    ignore (Sys.opaque_identity (List.init 1000 Fun.id))
+                  done
+                end)
+          done;
+          Alcotest.(check bool)
+            (Printf.sprintf "worker %d forced minor GCs" allocator)
+            true
+            (minors () > before))
+        [ 0; 1 ])
+
 (* ---------- properties ---------- *)
 
 (* Staging correctness: arbitrary programs, sequential compiled execution
@@ -321,9 +410,114 @@ let prop_parallel_equals_interp =
           List.for_all
             (fun domains ->
               let outcome = Exec.run ~domains ~policy prog in
-              Exec.agrees_with_interpreter outcome st)
+              Exec.agrees_with_interpreter ~compare_scalars:true outcome st)
             domain_counts)
         all_policies)
+
+(* Conditionally assigned live-outs: a DOALL nest whose body assigns the
+   scalars [r] (real) and [c] (int) only on some paths — under a guard
+   on the indexes, in one arm of an if/else, or inside a serial loop
+   that may run zero times — so the iteration that runs last need not
+   be the one that wrote them last. Every engine, policy and domain
+   count, and the sanitized tape, must return the interpreter's values. *)
+let cond_live_out_gen : Ast.program QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* depth = int_range 1 3 in
+  let dims = match depth with 1 -> [ 8 ] | 2 -> [ 6; 6 ] | _ -> [ 4; 3; 3 ] in
+  let target = match depth with 1 -> "V" | 2 -> "W" | _ -> "U" in
+  let indices = List.filteri (fun k _ -> k < depth) [ "i"; "j"; "k" ] in
+  let* sizes = flatten_l (List.map (fun d -> int_range 1 d) dims) in
+  let* guard_var = oneofl indices in
+  let* guard_op = oneofl [ Ast.Eq; Ast.Le; Ast.Ge; Ast.Ne ] in
+  let* guard_at = int_range 0 4 in
+  let* r_rhs = Gen.int_expr indices in
+  let* c_rhs = Gen.int_expr indices in
+  let* shape = int_range 0 2 in
+  let+ trips = int_range 0 2 in
+  let assign_r = Ast.Assign (Scalar "r", Bin (Add, r_rhs, Real 0.5)) in
+  let assign_c = Ast.Assign (Scalar "c", c_rhs) in
+  let guarded =
+    let g = Ast.Cmp (guard_op, Var guard_var, Int guard_at) in
+    match shape with
+    | 0 -> Ast.If (g, [ assign_r; assign_c ], [])
+    | 1 -> Ast.If (g, [ assign_r ], [ assign_c ])
+    | _ ->
+        Ast.If
+          ( g,
+            [ assign_r ],
+            [
+              For
+                {
+                  index = "t";
+                  lo = Int 1;
+                  hi = Int trips;
+                  step = Int 1;
+                  par = Serial;
+                  body = [ Ast.Assign (Scalar "c", Bin (Add, c_rhs, Var "t")) ];
+                };
+            ] )
+  in
+  let body =
+    [
+      guarded;
+      Ast.Assign
+        ( Elem (target, List.map (fun v -> Ast.Var v) indices),
+          List.fold_left (fun e v -> Ast.Bin (Add, e, Var v)) (Int 0) indices );
+    ]
+  in
+  let rec build idxs szs : Ast.stmt =
+    match (idxs, szs) with
+    | ix :: rest, n :: szs' ->
+        For
+          {
+            index = ix;
+            lo = Int 1;
+            hi = Int n;
+            step = Int 1;
+            par = Parallel;
+            body = (if rest = [] then body else [ build rest szs' ]);
+          }
+    | _ -> assert false
+  in
+  {
+    Ast.arrays =
+      List.map
+        (fun (n, dims) -> { Ast.arr_name = n; dims })
+        [ ("W", [ 6; 6 ]); ("V", [ 8 ]); ("U", [ 4; 3; 3 ]) ];
+    scalars =
+      [
+        { Ast.sc_name = "r"; sc_kind = Kreal; sc_init = -1.0 };
+        { Ast.sc_name = "c"; sc_kind = Kint; sc_init = -7.0 };
+      ];
+    body = [ build indices sizes ];
+  }
+
+let arbitrary_cond_live_out =
+  QCheck.make ~print:Pretty.program_to_string cond_live_out_gen
+
+let prop_cond_live_outs =
+  QCheck.Test.make ~count:40
+    ~name:"conditional live-out scalars = interpreter (engines, policies, 1/2/4 domains)"
+    arbitrary_cond_live_out (fun prog ->
+      let st = Eval.run prog in
+      List.for_all
+        (fun policy ->
+          List.for_all
+            (fun domains ->
+              List.for_all
+                (fun engine ->
+                  Exec.agrees_with_interpreter ~compare_scalars:true
+                    (Exec.run ~domains ~policy ~engine prog)
+                    st)
+                [ Exec.Closure; Exec.Bytecode ])
+            domain_counts)
+        all_policies
+      && List.for_all
+           (fun domains ->
+             let outcome, sh = Exec.run_sanitized ~domains prog in
+             Exec.agrees_with_interpreter ~compare_scalars:true outcome st
+             && snd (Runtime.Sanitize.results sh) = 0)
+           domain_counts)
 
 let suite =
   [
@@ -341,6 +535,15 @@ let suite =
       test_pool_runs_all_workers;
     Alcotest.test_case "pool propagates exceptions" `Quick
       test_pool_propagates_exception;
+    Alcotest.test_case "pool spin path (10k forks)" `Quick test_pool_spin_path;
+    Alcotest.test_case "pool park path" `Quick test_pool_park_path;
+    Alcotest.test_case "pool lowest-id exception, both paths" `Quick
+      test_pool_lowest_exception_both_paths;
+    Alcotest.test_case "pool shutdown spinning and parked" `Quick
+      test_pool_shutdown_paths;
+    Alcotest.test_case "pool minor GC while spinning" `Quick
+      test_pool_gc_while_spinning;
     Gen.to_alcotest prop_compiled_seq_equals_interp;
     Gen.to_alcotest prop_parallel_equals_interp;
+    Gen.to_alcotest prop_cond_live_outs;
   ]

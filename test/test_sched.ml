@@ -57,6 +57,35 @@ let prop_block_balance =
       and mn = Array.fold_left min max_int c in
       mx - mn <= 1 && mx = Intmath.cdiv n p)
 
+(* The closed forms against the definition: a scan of [proc_of] over
+   every iteration. *)
+let scan_iterations (t : Static.t) q =
+  List.filter (fun j -> t.Static.proc_of j = q) (List.init t.Static.n (( + ) 1))
+
+let scan_runs (t : Static.t) q =
+  List.fold_left
+    (fun runs j ->
+      match runs with
+      | (start, len) :: rest when start + len = j -> (start, len + 1) :: rest
+      | _ -> (j, 1) :: runs)
+    [] (scan_iterations t q)
+  |> List.rev
+
+let prop_closed_forms_match_scan =
+  QCheck.Test.make ~name:"closed-form static blocks = proc_of scan" ~count:400
+    (QCheck.pair (QCheck.int_range 0 500) (QCheck.int_range 1 9))
+    (fun (n, p) ->
+      List.for_all
+        (fun (t : Static.t) ->
+          Static.counts t
+          = Array.init p (fun q -> List.length (scan_iterations t q))
+          && List.for_all
+               (fun q ->
+                 Static.iterations_of t q = scan_iterations t q
+                 && Static.chunks_of t q = scan_runs t q)
+               (List.init p Fun.id))
+        [ Static.block ~n ~p; Static.cyclic ~n ~p ])
+
 (* ---------- GSS ---------- *)
 
 let test_gss_known_sequence () =
@@ -167,6 +196,7 @@ let suite =
     Alcotest.test_case "empty space" `Quick test_empty_space;
     Gen.to_alcotest prop_partition;
     Gen.to_alcotest prop_block_balance;
+    Gen.to_alcotest prop_closed_forms_match_scan;
     Alcotest.test_case "gss known sequence" `Quick test_gss_known_sequence;
     Alcotest.test_case "gss p=1" `Quick test_gss_p1;
     Alcotest.test_case "gss empty" `Quick test_gss_empty;
